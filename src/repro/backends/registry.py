@@ -84,7 +84,7 @@ class BackendSpec:
     `cutoff` are always forwarded by the evaluator layer so that one call
     signature drives every backend.
 
-    ``picklable``, ``shareable_state`` and ``transport`` advertise what the
+    ``picklable`` and ``transport`` advertise what the
     real parallel engine (:mod:`repro.parallel.executor`) may do with the
     backend: whether instances can be shipped to process-pool workers, and
     which registered state transport
@@ -92,8 +92,6 @@ class BackendSpec:
     shared memory for worker-side batched measurement — ``"dense_shm"``
     for flat amplitude vectors, ``"mps_shm"`` for tensor-train site
     blocks, ``None`` when states cannot cross process boundaries at all.
-    ``shareable_state`` is the legacy boolean form of the same capability
-    (kept in sync for existing callers).
 
     ``measurement_modes`` / ``default_measurement`` advertise the
     observable-evaluation strategies the backend accepts through a
@@ -117,9 +115,6 @@ class BackendSpec:
     options: tuple[str, ...] = field(default=())
     #: instances survive pickling to process-pool workers
     picklable: bool = True
-    #: exposes a dense statevector shareable via shared memory (legacy
-    #: boolean capability; ``transport`` is the canonical declaration)
-    shareable_state: bool = False
     #: name of the registered state transport able to export this
     #: backend's states across process boundaries (None: process-parallel
     #: measurement unsupported)
@@ -132,10 +127,6 @@ class BackendSpec:
     #: :mod:`repro.vqe.gradients`); empty means only the universal
     #: parameter-shift / finite-difference sources apply
     gradients: tuple[str, ...] = field(default=())
-    #: the backend's kernels honor the calibrated autotuner
-    #: (:mod:`repro.tune`) - ``tune="static"|"auto"`` is only accepted by
-    #: the evaluator layer when this is set
-    tunable: bool = False
 
     def create(self, n_qubits: int, **opts) -> Any:
         """Instantiate the backend for ``n_qubits`` (circuit kind only)."""
@@ -154,12 +145,11 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
                      kind: str = "circuit",
                      make_evaluator: Callable[..., Any] | None = None,
                      description: str = "", options: tuple[str, ...] = (),
-                     picklable: bool = True, shareable_state: bool = False,
+                     picklable: bool = True,
                      transport: str | None = None,
                      measurement_modes: tuple[str, ...] = (),
                      default_measurement: str | None = None,
                      gradients: tuple[str, ...] = (),
-                     tunable: bool = False,
                      overwrite: bool = False) -> BackendSpec:
     """Register a backend under ``name`` (third parties welcome).
 
@@ -175,20 +165,14 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
         ``(hamiltonian, ansatz, **opts) -> evaluator`` for ansatz backends.
     description, options:
         Documentation surfaced by the CLI (`--simulator` help) and docs.
-    picklable, shareable_state, transport:
-        Parallel-engine capabilities (see :class:`BackendSpec`).  Passing
-        ``shareable_state=True`` without a transport implies the dense
-        ``"dense_shm"`` transport; declaring a transport implies
-        ``shareable_state`` for legacy callers.
+    picklable, transport:
+        Parallel-engine capabilities (see :class:`BackendSpec`).
     measurement_modes, default_measurement:
         Observable-evaluation strategies selectable via a ``measurement=``
         factory option (see :class:`BackendSpec`).
     gradients:
         Analytic gradient engines the VQE gradient layer may run against
         the backend (see :class:`BackendSpec`).
-    tunable:
-        The backend's kernels honor the calibrated autotuner
-        (:mod:`repro.tune`).
     overwrite:
         Allow replacing an existing registration.
     """
@@ -207,21 +191,13 @@ def register_backend(name: str, factory: Callable[..., Any] | None = None, *,
             f"default measurement {default_measurement!r} is not among the "
             f"declared modes {modes}"
         )
-    # the two capability declarations imply each other for compatibility:
-    # legacy shareable_state=True means the dense transport, and any
-    # declared transport makes the state shareable
-    if transport is None and shareable_state:
-        transport = "dense_shm"
     spec = BackendSpec(name=key, kind=kind, factory=factory,
                        make_evaluator=make_evaluator,
                        description=description, options=tuple(options),
-                       picklable=picklable,
-                       shareable_state=transport is not None,
-                       transport=transport,
+                       picklable=picklable, transport=transport,
                        measurement_modes=modes,
                        default_measurement=default_measurement,
-                       gradients=tuple(gradients),
-                       tunable=tunable)
+                       gradients=tuple(gradients))
     _REGISTRY[key] = spec
     return spec
 
@@ -314,7 +290,7 @@ register_backend(
     description="dense 2^n amplitude vector; gate-by-gate tensordot, "
                 "batched compiled-observable measurement",
     options=("max_qubits",),
-    shareable_state=True,
+    transport="dense_shm",
     gradients=("adjoint",),
 )
 register_backend(
@@ -331,7 +307,6 @@ register_backend(
     measurement_modes=("auto", "sweep", "mpo", "per_term"),
     default_measurement="auto",
     gradients=("adjoint",),
-    tunable=True,
 )
 register_backend(
     "density_matrix", _make_density_matrix,
@@ -343,7 +318,7 @@ register_backend(
     description="closed-form permutation+phase UCC evaluator; ~100x faster "
                 "than gate-by-gate simulation at DMET fragment sizes",
     options=("max_qubits",),
-    shareable_state=True,
+    transport="dense_shm",
 )
 
 

@@ -29,8 +29,8 @@ number; histogram ``value`` is a ``{count, sum, min, max}`` summary.
 ``spans`` is present only when tracing is on.  The JSONL exporter writes
 one span object per line after a single header line carrying the metrics -
 the streaming-friendly form for long traces.  :func:`validate_document`
-also dispatches ``repro.bench/1`` performance ledgers and
-``repro.tune/1`` autotuner calibrations to their own validators.
+also dispatches ``repro.bench/1`` performance ledgers to their own
+validator.
 
 ``repro.obs/2`` (this revision) is structurally identical to ``/1`` but
 documents cross-process semantics: metric snapshots may be the result of
@@ -160,14 +160,6 @@ def validate_document(doc: dict) -> None:
         from repro.obs.bench import validate_ledger
         validate_ledger(doc)
         return
-    if schema == "repro.tune/1":
-        from repro.common.errors import ValidationError
-        from repro.tune import validate_calibration
-        try:
-            validate_calibration(doc)
-        except ValidationError as exc:
-            raise ValueError(str(exc)) from exc
-        return
     if schema == "repro.obs.flight/1":
         from repro.obs.flight import validate_flight
         validate_flight(doc)
@@ -178,7 +170,7 @@ def validate_document(doc: dict) -> None:
     if schema not in _ACCEPTED_VERSIONS:
         raise ValueError(
             f"unknown schema {schema!r}; expected one of "
-            f"{_ACCEPTED_VERSIONS}, 'repro.bench/1', 'repro.tune/1', "
+            f"{_ACCEPTED_VERSIONS}, 'repro.bench/1', "
             f"'repro.obs.flight/1' or '{TS_SCHEMA}'"
         )
     metrics = doc.get("metrics")

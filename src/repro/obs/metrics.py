@@ -295,9 +295,11 @@ class MetricsRegistry:
 
         When ``worker`` is given the merge is also recorded in two
         built-in per-worker counters - ``obs.merges{worker=w}`` (snapshots
-        merged) and ``obs.merged_events{worker=w}`` (counter increments
-        merged) - which make per-worker load imbalance visible without
-        disturbing the merged totals of any other metric.
+        merged) and ``obs.merged_events{worker=w}`` (counter series, i.e.
+        label slots, merged - a count, never a sum of counter values, so
+        float counters such as flop totals cannot inflate it) - which
+        make per-worker load imbalance visible without disturbing the
+        merged totals of any other metric.
 
         Values are written directly (bypassing the ``enabled`` flag): a
         merge is deterministic bookkeeping of already-recorded data, not a
@@ -306,6 +308,7 @@ class MetricsRegistry:
         if isinstance(metrics, MetricsRegistry):
             metrics = metrics.snapshot()
         counter_delta = 0.0
+        counter_series = 0
         with self._lock:
             for name in sorted(metrics):
                 snap = metrics[name]
@@ -330,6 +333,7 @@ class MetricsRegistry:
                     if kind == "counter":
                         inst._values[key] = inst._values.get(key, 0) + value
                         counter_delta += value
+                        counter_series += 1
                     elif kind == "gauge":
                         pkey = (name, key)
                         prev = self._gauge_provenance.get(pkey)
@@ -361,10 +365,10 @@ class MetricsRegistry:
                 merges._values[wkey] = merges._values.get(wkey, 0) + 1
                 events = self._make(
                     "counter", "obs.merged_events",
-                    "counter increments merged from worker snapshots, "
-                    "labelled by worker slot", "1")
+                    "counter series (label slots) merged from worker "
+                    "snapshots, labelled by worker slot", "1")
                 events._values[wkey] = \
-                    events._values.get(wkey, 0) + counter_delta
+                    events._values.get(wkey, 0) + counter_series
         return counter_delta
 
     # -- reading ---------------------------------------------------------------

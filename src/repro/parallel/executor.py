@@ -548,29 +548,20 @@ def _worker_mps_engine():
 def _mps_group_expectation_task(task: tuple):
     """Worker entry point: evaluate term groups against a shared MPS.
 
-    ``task`` is ``(handle, n_qubits, mode, chunk, directive, level3,
-    tune_cfg)``: ``handle`` reattaches the exported tensor-train state
-    read-only (``mps_shm`` transport), ``mode`` picks the measurement path
-    (``"sweep"`` | ``"mpo"`` | ``"auto"``), ``chunk`` is a list of
-    ``(group_index, payload)``, ``level3`` mirrors the parent's
+    ``task`` is ``(handle, n_qubits, mode, chunk, directive, level3)``:
+    ``handle`` reattaches the exported tensor-train state read-only
+    (``mps_shm`` transport), ``mode`` picks the measurement path
+    (``"sweep"`` | ``"mpo"``), ``chunk`` is a list of
+    ``(group_index, payload)``, and ``level3`` mirrors the parent's
     :func:`repro.simulators.mps_measure.level3_config` so bond slicing
-    behaves identically in every process, and ``tune_cfg`` carries the
-    parent's :func:`repro.tune.policy.tuning_config` - workers adopt the
-    already-probed calibration instead of ever probing themselves
-    (legacy 6-tuples mean "tuning off").  Returns ``(pairs, obs_doc)``
+    behaves identically in every process.  Returns ``(pairs, obs_doc)``
     exactly like :func:`_group_expectation_task`.
     """
-    if len(task) == 7:
-        handle, n_qubits, mode, chunk, directive, level3, tune_cfg = task
-    else:
-        handle, n_qubits, mode, chunk, directive, level3 = task
-        tune_cfg = ("off", None)
+    handle, n_qubits, mode, chunk, directive, level3 = task
     _worker_obs_begin(directive)
     from repro.simulators.mps_measure import configure_level3
-    from repro.tune.policy import apply_tuning_config
 
     configure_level3(*level3)
-    apply_tuning_config(tune_cfg)
     mps, closer = attach_state(handle)
     try:
         engine = _worker_mps_engine()
@@ -579,8 +570,6 @@ def _mps_group_expectation_task(task: tuple):
             op = _operator_from_payload(payload)
             if mode == "mpo":
                 value = engine.expectation_mpo(mps, op, n_qubits)
-            elif mode == "auto":
-                value = engine.expectation(mps, op, n_qubits)
             else:
                 value = engine.expectation_sweep(mps, op, n_qubits)
             out.append((gidx, value))
@@ -721,9 +710,7 @@ class GroupedObservable:
         The level-2 dispatch for the MPS backend: each group is evaluated
         through the shared-environment sweep engine
         (:class:`repro.simulators.mps_measure.MPSMeasurementEngine`) or,
-        with ``mode="mpo"``, the compressed-MPO contraction;
-        ``mode="auto"`` lets the engine's cost model (static flops, or
-        calibrated times under ``tune="auto"``) pick per group.  In-process
+        with ``mode="mpo"``, the compressed-MPO contraction.  In-process
         executors share one engine across all groups; the ``process``
         executor exports the state once through the ``mps_shm`` transport
         (:mod:`repro.parallel.transport`) and every worker reattaches the
@@ -736,10 +723,10 @@ class GroupedObservable:
                 f"state register {mps.n_qubits} != operator register "
                 f"{self.n_qubits}"
             )
-        if mode not in ("sweep", "mpo", "auto"):
+        if mode not in ("sweep", "mpo"):
             raise ValidationError(
                 f"unknown MPS group-path mode {mode!r}; "
-                f"expected 'sweep', 'mpo' or 'auto'"
+                f"expected 'sweep' or 'mpo'"
             )
         t0 = time.perf_counter()
         owned = isinstance(executor, str)  # resolved here -> closed here
@@ -780,12 +767,9 @@ class GroupedObservable:
             from repro.simulators.mps_measure import MPSMeasurementEngine
 
             self._mps_engine = MPSMeasurementEngine()
-        engine = self._mps_engine
         if mode == "mpo":
-            return engine.expectation_mpo
-        if mode == "auto":
-            return engine.expectation  # defaults to the auto dispatch
-        return engine.expectation_sweep
+            return self._mps_engine.expectation_mpo
+        return self._mps_engine.expectation_sweep
 
     def _expectation_mps_in_process(self, mps, executor,
                                     mode: str) -> list[float]:
@@ -804,7 +788,6 @@ class GroupedObservable:
     def _expectation_mps_shared(self, mps, executor,
                                 mode: str) -> list[float]:
         from repro.simulators.mps_measure import level3_config
-        from repro.tune.policy import tuning_config
 
         if transport_for_state(mps) is None:
             raise TransportError(
@@ -819,12 +802,11 @@ class GroupedObservable:
         _flight.FLIGHT.note("dispatch", "mps_groups", chunks=len(chunks),
                             executor=getattr(executor, "name", "?"))
         level3 = level3_config()
-        tune_cfg = tuning_config()
         with export_state(mps) as exported:
             tasks = [
                 (exported.handle, self.n_qubits, mode,
                  [(i, self.payloads[i]) for i in idxs],
-                 _obs_directive(worker), level3, tune_cfg)
+                 _obs_directive(worker), level3)
                 for worker, idxs in enumerate(chunks)
             ]
             results = executor.map(_mps_group_expectation_task, tasks)

@@ -154,6 +154,17 @@ class TestRegistry:
         assert snap["touched"]["values"] == [{"labels": {}, "value": 1}]
 
 
+class TestMerge:
+    def test_merged_events_counts_series_not_values(self, reg):
+        worker = MetricsRegistry()
+        worker.enable()
+        worker.counter("mps_measure.modeled_flops").inc(1.5e9, path="sweep")
+        reg.merge(worker.snapshot(), worker=0)
+        assert reg.value("mps_measure.modeled_flops", path="sweep") == 1.5e9
+        assert reg.value("obs.merged_events", worker=0) == 1
+        assert reg.value("obs.merges", worker=0) == 1
+
+
 class TestCollect:
     def test_collect_scopes_and_restores(self):
         from repro import obs

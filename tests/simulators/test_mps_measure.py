@@ -151,6 +151,40 @@ class TestAutoMode:
         ref = engine.expectation_per_term(mps, op)
         assert engine.expectation(mps, op) == pytest.approx(ref, abs=ATOL)
 
+    @staticmethod
+    def _auto_paths(mps, op):
+        from repro import obs
+        from repro.simulators.mps_measure import clear_measurement_caches
+
+        clear_measurement_caches()
+        with obs.collect() as reg:
+            MPSMeasurementEngine().expectation(mps, op, mode="auto")
+            return {path: reg.value("mps_measure.evaluations", path=path)
+                    for path in ("sweep", "mpo", "per_term")}
+
+    @pytest.mark.parametrize("bond_dimension,path",
+                             [(4, "sweep"), (16, "mpo")])
+    def test_static_decision_on_lih(self, lih_hamiltonian, bond_dimension,
+                                    path):
+        # the flop model switches LiH (630 terms) from sweep to MPO at D=6
+        ham, n = lih_hamiltonian
+        assert len([t for t, _ in ham if not t.is_identity()]) == 630
+        mps = MPS.random_state(n, bond_dimension=bond_dimension, seed=3)
+        assert mps.max_bond() == bond_dimension
+        expected = {"sweep": 0, "mpo": 0, "per_term": 0}
+        expected[path] = 1
+        assert self._auto_paths(mps, ham) == expected
+
+    @pytest.mark.parametrize("bond_dimension", [1, 2, 4])
+    def test_small_operators_always_sweep(self, h2_hamiltonian,
+                                          bond_dimension):
+        # 14 terms sit below the 16-term MPO window at every D
+        ham, n = h2_hamiltonian
+        assert len([t for t, _ in ham if not t.is_identity()]) == 14
+        mps = MPS.random_state(n, bond_dimension=bond_dimension, seed=3)
+        assert self._auto_paths(mps, ham) == {"sweep": 1, "mpo": 0,
+                                              "per_term": 0}
+
     def test_unknown_mode_rejected(self):
         mps = MPS.random_state(3, bond_dimension=2, seed=0)
         with pytest.raises(ValidationError):

@@ -103,3 +103,57 @@ class TestPackaging:
         assert (REPO / "docs" / "ARCHITECTURE.md").is_file()
         assert (REPO / "docs" / "ALGORITHMS.md").is_file()
         assert (REPO / "README.md").is_file()
+
+
+def _fenced_cli_examples():
+    """``(where, argv)`` for every ``python -m repro`` line in a code block.
+
+    Scans the fenced blocks of README.md, docs/*.md and examples/README.md,
+    joins backslash continuations, and drops a trailing ``# comment`` and
+    ``&`` before splitting the arguments after ``python -m repro``.
+    """
+    import shlex
+
+    docs = [REPO / "README.md", REPO / "examples" / "README.md",
+            *sorted((REPO / "docs").glob("*.md"))]
+    found = []
+    for doc in docs:
+        in_block = False
+        pending = ""
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                in_block, pending = not in_block, ""
+                continue
+            if not in_block:
+                continue
+            line = pending + line
+            if line.rstrip().endswith("\\"):
+                pending = line.rstrip()[:-1] + " "
+                continue
+            pending = ""
+            marker = "python -m repro "
+            if marker not in line:
+                continue
+            command = line.split(marker, 1)[1].split("#", 1)[0].strip()
+            command = command.removesuffix("&").strip()
+            found.append((f"{doc.relative_to(REPO)}:{lineno}",
+                          shlex.split(command)))
+    return found
+
+
+class TestDocumentedCommands:
+    def test_cli_examples_parse(self):
+        """Documented CLI invocations stay valid against the real parser."""
+        from repro.__main__ import build_parser
+
+        examples = _fenced_cli_examples()
+        assert examples, "no fenced `python -m repro` examples found"
+        parser = build_parser()
+        broken = []
+        for where, argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                broken.append(f"{where}: {' '.join(argv)}")
+        assert not broken, "CLI examples that no longer parse:\n" + \
+            "\n".join(broken)
